@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Offline CI for the SWAMP workspace: formatting, lints, tier-1
-# build+test, then the full workspace test suite. Everything here runs
-# without network access — registry deps are either vendored in-tree
-# (criterion shim) or feature-gated off (proptest suites).
+# build+test, the full workspace test suite, then the wall-clock gates of
+# the `bench` binary (`bench <subcommand> --check`). Everything here runs
+# without network access — the registry deps (proptest suites) are
+# feature-gated off.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -52,30 +53,30 @@ echo "== tier-1: cargo test -q"
 cargo test -q
 
 # Observability must stay effectively free on the ingest+pump hot path:
-# bench_obs times the same workload with instrumentation live vs muted
+# `bench obs` times the same workload with instrumentation live vs muted
 # (best-of-3 interleaved) and --check fails the build if the aggregate
 # overhead exceeds 5%. Uses the release binaries built above.
-echo "== bench-guard: obs overhead <= 5% (bench_obs --check)"
-cargo run --release -q -p swamp-pilots --bin bench_obs -- --check 100 1000 > /dev/null
+echo "== bench-guard: obs overhead <= 5% (bench obs --check)"
+cargo run --release -q -p swamp-pilots --bin bench -- obs --check 100 1000 > /dev/null
 
-# Deep-backlog drains must stay near-linear in backlog depth: bench_sync
+# Deep-backlog drains must stay near-linear in backlog depth: `bench sync`
 # times 1-shard drains at adjacent sizes and --check fails the build if
 # drain time grows superlinearly (time ratio > size ratio x slack — the
 # pre-indexed engine's O(B^2) drain showed ~size_ratio^2). Guards the
 # sync engine's record-table + ready-queue + timer-wheel indexing.
-echo "== bench-guard: sync drain stays near-linear (bench_sync --check)"
-cargo run --release -q -p swamp-pilots --bin bench_sync -- --check 10000 100000 1000000 > /dev/null
+echo "== bench-guard: sync drain stays near-linear (bench sync --check)"
+cargo run --release -q -p swamp-pilots --bin bench -- sync --check 10000 100000 1000000 > /dev/null
 
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
 
-# The behavioral baseline must hold its claims: bench_e16 --check
+# The behavioral baseline must hold its claims: `bench e16 --check`
 # re-runs the deterministic per-pilot scorecard (recall >= 0.75 and
 # precision >= 0.9 on every pilot's planted Sybil/tamper/takeover
 # devices) and bounds the live-vs-muted detector wall-clock overhead on
 # the densest stream at 10% (best-of-3 interleaved, reduced sizes).
-echo "== bench-guard: baseline detector recall/precision floors + overhead <= 10% (bench_e16 --check)"
-cargo run --release -q -p swamp-pilots --bin bench_e16 -- --check 256 96 > /dev/null
+echo "== bench-guard: baseline detector recall/precision floors + overhead <= 10% (bench e16 --check)"
+cargo run --release -q -p swamp-pilots --bin bench -- e16 --check 256 96 > /dev/null
 
 # Shard ≡ single-shard, serial ≡ parallel: the differential harness
 # quantifies over the seed AND the scheduler (worker counts {1, 2, 8}
@@ -95,22 +96,22 @@ echo "== detector-differential: baseline verdicts invariant across shards/worker
 SHARD_DIFF_SEED=42 cargo test -q -p swamp-pilots --test detector_differential
 SHARD_DIFF_SEED=1337 cargo test -q -p swamp-pilots --test detector_differential
 
-# The worker pool must not cost throughput: bench_e14 --check requires
+# The worker pool must not cost throughput: `bench e14 --check` requires
 # the best parallel schedule to beat serial at the largest fleet on
 # multi-core machines; on a single core only scheduling/cache overhead
 # is measurable, so the gate just bounds pathological collapse (>= 1/4
 # of serial — the JSON records available_parallelism so the gate is
 # honest about what it could test).
-echo "== bench-guard: parallel shard schedule >= serial (bench_e14 --check)"
-cargo run --release -q -p swamp-pilots --bin bench_e14 -- --check 1000 10000 > /dev/null
+echo "== bench-guard: parallel shard schedule >= serial (bench e14 --check)"
+cargo run --release -q -p swamp-pilots --bin bench -- e14 --check 1000 10000 > /dev/null
 
-# The columnar read path must earn its keep: bench_e15 --check requires
+# The columnar read path must earn its keep: `bench e15 --check` requires
 # byte-identical answers from both layouts, the summary path to engage
 # (segments pruned AND answered from frozen summaries), segmented
 # wide-read p90 to beat the flat full scan, and retention to stay at
 # parity. The wide-p90 gate holds at these reduced tiers because
 # hot-series depth is set by the round schedule, not the device count.
-echo "== bench-guard: summary-served wide reads beat the flat scan (bench_e15 --check)"
-cargo run --release -q -p swamp-pilots --bin bench_e15 -- --check 500 2000 > /dev/null
+echo "== bench-guard: summary-served wide reads beat the flat scan (bench e15 --check)"
+cargo run --release -q -p swamp-pilots --bin bench -- e15 --check 500 2000 > /dev/null
 
 echo "CI OK"

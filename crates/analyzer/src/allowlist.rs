@@ -7,7 +7,7 @@
 //! ```toml
 //! [[allow]]
 //! rule = "determinism"
-//! path = "crates/pilots/src/bin/bench_e11.rs"   # file or directory prefix
+//! path = "crates/pilots/src/bin/bench/main.rs"  # file or directory prefix
 //! contains = "Instant"                           # optional line substring
 //! justification = "wall-clock bench harness; output never reaches EXPERIMENTS.md"
 //!

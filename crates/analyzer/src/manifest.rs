@@ -101,7 +101,7 @@ swamp-net = { path = "../net" }
 serde = "1"
 
 [dev-dependencies]
-criterion.workspace = true
+proptest.workspace = true
 
 [features]
 proptest-tests = []
@@ -109,7 +109,7 @@ proptest-tests = []
         );
         assert_eq!(m.name, "swamp-core");
         assert_eq!(m.deps, vec!["serde", "swamp-net", "swamp-sim"]);
-        assert_eq!(m.dev_deps, vec!["criterion"]);
+        assert_eq!(m.dev_deps, vec!["proptest"]);
     }
 
     #[test]

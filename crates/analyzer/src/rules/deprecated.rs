@@ -5,7 +5,7 @@
 //! The rule bans the names themselves, so a revival fails CI in the same
 //! commit that writes it.
 //!
-//! Three shapes are policed, everywhere — library, binary and test code
+//! Four shapes are policed, everywhere — library, binary and test code
 //! alike (the removal left nothing for tests to pin):
 //!
 //! - **Constructors** (`Platform::new`, `FogSync::new`, removed in PR 7
@@ -23,17 +23,12 @@
 //! - **Removed getters** (`.sync_health(…)`, `.acks_refused(…)`,
 //!   `.metrics(…)`, removed in PR 7): superseded by the one observe
 //!   surface — `degraded_mode()` plus the typed `sync.*` gauges, the
-//!   `cloud.acks_refused` counter, and `observe()` /
-//!   `ObsSnapshot::to_metrics` respectively. No workspace type may grow
-//!   methods with these names again.
-//!
-//! A fourth shape is *deprecated* rather than removed — the raw store
-//! accessors superseded in PR 9 by the typed query surface
-//! (`Drive::query`): `.cloud_replica_mut(…)` on any receiver, and
-//! `.context(…)` / `.history(…)` on receivers conventionally naming a
-//! platform (`platform`, `p`, `shard`, `sp`). Existing call sites were
-//! migrated in the same PR; this rule keeps new ones from appearing
-//! during the deprecation window.
+//!   `cloud.acks_refused` counter, and `observe()` respectively. No
+//!   workspace type may grow methods with these names again.
+//! - **Removed raw store accessors**, superseded by the typed query
+//!   surface (`Drive::query`): `.cloud_replica_mut(…)` on any receiver,
+//!   and `.context(…)` / `.history(…)` on receivers conventionally naming
+//!   a platform (`platform`, `p`, `shard`, `sp`).
 
 use crate::lexer::{is_ident, is_path2, is_punct};
 use crate::source::SourceFile;
@@ -72,9 +67,10 @@ const REMOVED_ANY_RECEIVER: &[(&str, &str)] = &[
         "acks_refused",
         "the `cloud.acks_refused` counter in `observe()`",
     ),
+    ("metrics", "`observe()`"),
     (
-        "metrics",
-        "`observe()` (use `ObsSnapshot::to_metrics` for a legacy `Metrics` view)",
+        "cloud_replica_mut",
+        "`Drive::query(QueryRequest::ReplicaSeqs)` for reads; mutation belongs inside the platform",
     ),
 ];
 
@@ -82,21 +78,12 @@ const REMOVED_ANY_RECEIVER: &[(&str, &str)] = &[
 /// flagged only on a receiver literally named `metrics`.
 const REMOVED_METRICS_RECEIVER: &[&str] = &["observe", "set_gauge"];
 
-/// Raw read accessors deprecated in PR 9, superseded by the typed query
-/// surface (`Drive::query`). Unlike the removed shapes above they still
-/// exist — `#[deprecated]` covers compiled code — but this rule stops
-/// *new* call sites at CI before the next PR removes them.
-/// `cloud_replica_mut` is unambiguous workspace-wide and banned on any
-/// receiver.
-const DEPRECATED_QUERY_ANY_RECEIVER: &[(&str, &str)] = &[(
-    "cloud_replica_mut",
-    "`Drive::query(QueryRequest::ReplicaSeqs)` for reads; mutation belongs inside the platform",
-)];
-
-/// `context`/`history` also name live APIs (`CloudStore::history`,
-/// broker/query contexts), so — like the `metrics` receiver check — they
-/// are flagged only on receivers conventionally naming a platform.
-const DEPRECATED_PLATFORM_RECEIVER: &[(&str, &str)] = &[
+/// Removed raw read accessors superseded by the typed query surface
+/// (`Drive::query`). `context`/`history` also name live APIs
+/// (`CloudStore::history`, broker/query contexts), so — like the
+/// `metrics` receiver check — they are flagged only on receivers
+/// conventionally naming a platform.
+const REMOVED_PLATFORM_RECEIVER: &[(&str, &str)] = &[
     (
         "context",
         "`Drive::query(QueryRequest::Last { … })`, or the platform's public `broker` surface",
@@ -108,8 +95,8 @@ const DEPRECATED_PLATFORM_RECEIVER: &[(&str, &str)] = &[
 ];
 
 /// Receiver idents the platform conventionally binds to in this
-/// workspace. `self` is deliberately absent: the defining impl in
-/// `crates/core/src/platform.rs` may keep delegating internally.
+/// workspace. `self` is deliberately absent: other types' own
+/// `context`/`history` methods may call each other through `self`.
 const PLATFORM_RECEIVERS: &[&str] = &["platform", "p", "shard", "sp"];
 
 pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
@@ -156,24 +143,9 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                 file,
                 line,
                 "removed string-keyed `Metrics` mutation: register a typed \
-                 handle on `swamp_obs::Obs` and record through it; `Metrics` \
-                 is a read-compat view built by `ObsSnapshot::to_metrics`"
+                 handle on `swamp_obs::Obs`, record through it and read \
+                 through `observe()`"
                     .to_owned(),
-            ));
-            continue;
-        }
-        if let Some((method, replacement)) = DEPRECATED_QUERY_ANY_RECEIVER
-            .iter()
-            .find(|(m, _)| is_ident(tokens, i + 1, m))
-        {
-            out.push(Finding::at(
-                NAME,
-                file,
-                line,
-                format!(
-                    "deprecated raw accessor `.{method}(…)` must not gain new callers: \
-                     use {replacement}"
-                ),
             ));
             continue;
         }
@@ -182,7 +154,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                 .iter()
                 .any(|recv| is_ident(tokens, i - 1, recv));
         if on_platform {
-            if let Some((method, replacement)) = DEPRECATED_PLATFORM_RECEIVER
+            if let Some((method, replacement)) = REMOVED_PLATFORM_RECEIVER
                 .iter()
                 .find(|(m, _)| is_ident(tokens, i + 1, m))
             {
@@ -191,8 +163,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                     file,
                     line,
                     format!(
-                        "deprecated raw accessor `.{method}(…)` must not gain new callers: \
-                         use {replacement}"
+                        "removed raw accessor `.{method}(…)` must not come back: use {replacement}"
                     ),
                 ));
             }

@@ -13,16 +13,15 @@
 //!   convention for instrument-struct constructors: `fn register(obs:
 //!   &mut Obs)`);
 //! - a **read** is the same four method names on any other receiver
-//!   (snapshots, reports, `Metrics` views), in any target including
-//!   tests;
+//!   (snapshots, reports), in any target including tests;
 //! - every family-prefixed read must name a registered instrument, with
 //!   the same kind; every family-prefixed name may have at most one
 //!   non-test library registration site.
 //!
 //! Names outside the family prefixes (scratch names in obs's own unit
-//! tests, sim's legacy `Metrics` fixtures) are not checked. Deliberate
-//! negative tests of the Unknown-instrument error path carry allowlist
-//! entries with `contains =` the typo'd name.
+//! tests) are not checked. Deliberate negative tests of the
+//! Unknown-instrument error path carry allowlist entries with
+//! `contains =` the typo'd name.
 
 use std::collections::BTreeMap;
 

@@ -2,9 +2,9 @@
 //! platform.
 //!
 //! Before this crate the workspace spoke three instrumentation dialects:
-//! the string-keyed [`swamp_sim::metrics::Metrics`] registry (a
-//! `BTreeMap<String, _>` lookup — and an allocation on every miss — per
-//! increment), ad-hoc struct counters (`CloudStore::acks_refused`,
+//! a string-keyed `Metrics` registry (a `BTreeMap<String, _>` lookup —
+//! and an allocation on every miss — per increment; since removed),
+//! ad-hoc struct counters (`CloudStore::acks_refused`,
 //! `SyncStats`), and the bespoke `SyncHealth` snapshot. [`Obs`] replaces
 //! all three:
 //!
@@ -23,14 +23,12 @@
 //!   entries once full.
 //! - **Snapshots** ([`Obs::snapshot`] → [`ObsSnapshot`]) export everything
 //!   as sorted maps with a stable JSON form ([`ObsSnapshot::to_json_string`],
-//!   [`ObsReport`]) and a read-compat [`swamp_sim::metrics::Metrics`] view
-//!   ([`ObsSnapshot::to_metrics`]) so pre-migration report tables stay
-//!   bit-identical.
+//!   [`ObsReport`]).
 //!
-//! Unlike `Metrics::counter`, which silently returns 0 for a typo'd name,
-//! snapshot reads return [`Err`] for keys that were never registered —
-//! misspelled metric names in experiment harnesses fail loudly instead of
-//! reporting zeros.
+//! Unlike the old `Metrics::counter`, which silently returned 0 for a
+//! typo'd name, snapshot reads return [`Err`] for keys that were never
+//! registered — misspelled metric names in experiment harnesses fail
+//! loudly instead of reporting zeros.
 //!
 //! # Example
 //! ```

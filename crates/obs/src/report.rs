@@ -1,6 +1,5 @@
 //! Snapshot export: sorted maps, loud unknown-key reads, merging across
-//! components, a byte-stable JSON form and the read-compat
-//! [`Metrics`] view.
+//! components and a byte-stable JSON form.
 //!
 //! Determinism contract: for a fixed sequence of [`crate::Obs`] operations,
 //! [`ObsSnapshot::to_json_string`] (and therefore
@@ -13,7 +12,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use swamp_sim::metrics::Metrics;
 use swamp_sim::stats::{Histogram, OnlineStats};
 
 use crate::Level;
@@ -219,8 +217,8 @@ impl ObsSnapshot {
 
     // ---- reads ---------------------------------------------------------
 
-    /// Reads a counter. Unlike `Metrics::counter`, an unregistered name is
-    /// an [`Err`], not a silent 0.
+    /// Reads a counter. Unlike the old `Metrics::counter`, an unregistered
+    /// name is an [`Err`], not a silent 0.
     pub fn counter(&self, name: &str) -> Result<u64, ObsError> {
         self.counters
             .get(name)
@@ -270,27 +268,7 @@ impl ObsSnapshot {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    // ---- compat + JSON export ------------------------------------------
-
-    /// Builds the read-compat [`Metrics`] view: counters, set gauges and
-    /// histogram summaries land under the same names the pre-`swamp-obs`
-    /// code used, so existing `metrics().counter(…)` / `summary(…)` readers
-    /// (and the report tables built from them) see identical values.
-    pub fn to_metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
-        for (name, value) in &self.counters {
-            m.set_counter(name, *value);
-        }
-        for (name, value) in &self.gauges {
-            if let Some(v) = value {
-                m.set_gauge(name, *v);
-            }
-        }
-        for (name, snap) in &self.summaries {
-            m.set_summary(name, snap.stats);
-        }
-        m
-    }
+    // ---- JSON export ---------------------------------------------------
 
     /// Renders the snapshot as pretty-printed JSON with a byte-stable
     /// layout: object keys sorted, events in order, floats via shortest
@@ -644,17 +622,6 @@ mod tests {
         assert_eq!(lat.p50, None, "bucket-free merge cannot keep quantiles");
         assert_eq!(merged.events().len(), 2);
         assert_eq!(merged.ticks(), a.ticks() * 2);
-    }
-
-    #[test]
-    fn to_metrics_matches_old_dialect() {
-        let snap = sample_obs().snapshot();
-        let m = snap.to_metrics();
-        assert_eq!(m.counter("net.sent"), 6);
-        assert_eq!(m.gauge("sync.pending"), Some(2.0));
-        let s = m.summary("net.latency_ms").unwrap();
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.mean(), 25.0);
     }
 
     #[test]

@@ -1,17 +1,9 @@
-//! E15 columnar read path: runs the mixed read/write sweep (flat vs
-//! segmented layout per device tier) and emits `BENCH_e15.json` on
-//! stdout (the human-readable table goes to stderr so redirection
-//! captures clean JSON).
-//!
-//! Usage: `cargo run -p swamp-pilots --bin bench_e15 --release \
-//!             [--check] [devices ...] > BENCH_e15.json`
-//!
-//! Defaults to 1 000, 10 000 and 100 000 devices. Each tier drives two
+//! `bench e15`: E15 columnar read path. Each device tier drives two
 //! platforms — flat history (pre-segment layout) and 64-sample columnar
 //! segments — through identical rounds of hot-tier ingest, zipfian query
 //! bursts and retention passes.
 //!
-//! The `--check` gate holds the four claims the layout makes:
+//! The gate holds the four claims the layout makes:
 //!
 //! 1. **Equivalence** — both layouts answer the end-state query battery
 //!    byte-identically (hard, machine-independent);
@@ -36,16 +28,11 @@
 //! [`Extremes`]: swamp_core::query::QueryRequest::Extremes
 
 use swamp_codec::json::Json;
-use swamp_obs::ObsReport;
 use swamp_pilots::experiments::{e15_read_path_observed, E15Result};
 
-const QUERIES_PER_ROUND: usize = 400;
+use crate::{cores, envelope, rounded, Args, Clock, Outcome};
 
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
+const QUERIES_PER_ROUND: usize = 400;
 
 fn check(result: &E15Result, sizes: &[usize]) -> Result<(), String> {
     for row in &result.rows {
@@ -113,46 +100,10 @@ fn check(result: &E15Result, sizes: &[usize]) -> Result<(), String> {
     Ok(())
 }
 
-fn main() {
-    let mut sizes: Vec<usize> = Vec::new();
-    let mut check_mode = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check_mode = true;
-            continue;
-        }
-        match arg.parse::<usize>() {
-            Ok(n) if n > 0 => sizes.push(n),
-            _ => {
-                eprintln!("bench_e15: device tiers must be positive integers, got {arg:?}");
-                eprintln!(
-                    "usage: bench_e15 [--check] [devices ...]   (default: 1000 10000 100000)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if sizes.is_empty() {
-        sizes = vec![1_000, 10_000, 100_000];
-    }
-    // The library is clock-free; the binary owns the wall clock.
-    let epoch = std::time::Instant::now();
-    let mut clock = move || epoch.elapsed().as_secs_f64();
-    let (result, obs_reports) = e15_read_path_observed(42, &sizes, QUERIES_PER_ROUND, &mut clock);
+pub fn run(args: &Args, clock: &Clock) -> Outcome {
+    let (result, obs_reports) =
+        e15_read_path_observed(42, &args.nums, QUERIES_PER_ROUND, &mut || clock.now());
     eprintln!("{}", result.report());
-
-    // Per-cell observability snapshots (query.* counters, query.run
-    // span) next to the bench JSON. `--check` runs (CI, reduced tiers)
-    // must not overwrite the committed full-sweep artifact.
-    if !check_mode {
-        match std::fs::write(
-            "OBS_e15.json",
-            ObsReport::array_to_json_string(&obs_reports),
-        ) {
-            Ok(()) => eprintln!("wrote OBS_e15.json ({} cell reports)", obs_reports.len()),
-            Err(e) => eprintln!("bench_e15: could not write OBS_e15.json: {e}"),
-        }
-    }
 
     let rows: Vec<Json> = result
         .rows
@@ -173,20 +124,11 @@ fn main() {
                 ("live_samples", Json::Number(r.live_samples as f64)),
                 ("segments", Json::Number(r.segments as f64)),
                 ("queries", Json::Number(r.queries as f64)),
-                ("p50_us", Json::Number((r.p50_us * 10.0).round() / 10.0)),
-                ("p99_us", Json::Number((r.p99_us * 10.0).round() / 10.0)),
-                (
-                    "wide_p50_us",
-                    Json::Number((r.wide_p50_us * 10.0).round() / 10.0),
-                ),
-                (
-                    "wide_p90_us",
-                    Json::Number((r.wide_p90_us * 10.0).round() / 10.0),
-                ),
-                (
-                    "wide_p99_us",
-                    Json::Number((r.wide_p99_us * 10.0).round() / 10.0),
-                ),
+                ("p50_us", rounded(r.p50_us, 10.0)),
+                ("p99_us", rounded(r.p99_us, 10.0)),
+                ("wide_p50_us", rounded(r.wide_p50_us, 10.0)),
+                ("wide_p90_us", rounded(r.wide_p90_us, 10.0)),
+                ("wide_p99_us", rounded(r.wide_p99_us, 10.0)),
                 ("queries_per_s", Json::Number(r.queries_per_s.round())),
                 ("segments_pruned", Json::Number(r.segments_pruned as f64)),
                 (
@@ -194,13 +136,10 @@ fn main() {
                     Json::Number(r.segments_summarized as f64),
                 ),
                 ("segments_decoded", Json::Number(r.segments_decoded as f64)),
-                (
-                    "retention_ms",
-                    Json::Number((r.retention_ms * 100.0).round() / 100.0),
-                ),
+                ("retention_ms", rounded(r.retention_ms, 100.0)),
                 (
                     "retention_speedup_vs_flat",
-                    Json::Number((retention_speedup * 100.0).round() / 100.0),
+                    rounded(retention_speedup, 100.0),
                 ),
                 (
                     "retention_removed",
@@ -210,36 +149,25 @@ fn main() {
             ])
         })
         .collect();
-    let doc = Json::object([
-        ("experiment", Json::String("e15_read_path".into())),
-        (
-            "description",
-            Json::String(
-                "Mixed read/write wall-clock sweep over the columnar read \
-                 path: flat vs 64-sample segmented history per device \
-                 tier, with zipfian query bursts, hot-tier deep series \
-                 and per-round retention. Latencies are per-query \
-                 (p50/p99); the p99 tail is the full-horizon Extremes \
-                 reads, where segment summaries beat the uncompacted \
-                 scan; retention is parity under the round-aligned \
-                 horizon."
-                    .into(),
-            ),
-        ),
-        ("build", Json::String("release".into())),
-        ("available_parallelism", Json::Number(cores() as f64)),
-        ("queries_per_round", Json::Number(QUERIES_PER_ROUND as f64)),
-        ("rows", Json::Array(rows)),
-    ]);
-    println!("{}", doc.to_pretty_string());
-
-    if check_mode {
-        match check(&result, &sizes) {
-            Ok(()) => eprintln!("bench_e15 --check: ok ({} cores)", cores()),
-            Err(msg) => {
-                eprintln!("bench_e15 --check FAILED: {msg}");
-                std::process::exit(1);
-            }
-        }
+    let doc = envelope(
+        "e15_read_path",
+        "Mixed read/write wall-clock sweep over the columnar read \
+         path: flat vs 64-sample segmented history per device \
+         tier, with zipfian query bursts, hot-tier deep series \
+         and per-round retention. Latencies are per-query \
+         (p50/p99); the p99 tail is the full-horizon Extremes \
+         reads, where segment summaries beat the uncompacted \
+         scan; retention is parity under the round-aligned \
+         horizon.",
+        [
+            ("available_parallelism", Json::Number(cores() as f64)),
+            ("queries_per_round", Json::Number(QUERIES_PER_ROUND as f64)),
+            ("rows", Json::Array(rows)),
+        ],
+    );
+    Outcome {
+        doc,
+        obs: Some(obs_reports),
+        gate: check(&result, &args.nums),
     }
 }

@@ -18,7 +18,7 @@
 //! 1. **Detection quality** (deterministic, in `run_all`):
 //!    [`e16_baseline_detection`] — per-pilot precision/recall at the
 //!    canonical scale, bit-reproducible per seed.
-//! 2. **Overhead** (wall clock, `bench_e16` binary):
+//! 2. **Overhead** (wall clock, `bench e16`):
 //!    [`e16_overhead_observed`] — the same workload timed against a
 //!    live bank and a muted one (`BehaviorBank::set_enabled(false)`,
 //!    a single branch); the `--check` gate bounds the live/muted
@@ -45,6 +45,7 @@ use swamp_sim::{SimDuration, SimTime};
 use swamp_workload::{AttackOverlay, CompiledWorkload, Label, Pilot, WorkloadSpec};
 
 use crate::report::{fmt_f, fmt_pct, Report};
+use crate::reps::{best_of_interleaved, REPS};
 
 /// Canonical E16 fleet size (per pilot; Sybil identities come on top).
 pub const E16_DEVICES: usize = 32;
@@ -435,15 +436,14 @@ impl E16OverheadResult {
 ///
 /// The caller supplies the clock: `time_cell` receives one arm's body
 /// and returns the wall-clock seconds it took, and must run the body
-/// exactly once — only the `bench_e16` binary (and the unit test)
-/// touch `std::time::Instant`.
+/// exactly once — only the `bench` binary (and the unit test) touch
+/// `std::time::Instant`.
 pub fn e16_overhead_observed(
     seed: u64,
     devices: usize,
     rounds: usize,
     mut time_cell: impl FnMut(&mut dyn FnMut()) -> f64,
 ) -> (E16OverheadResult, Vec<ObsReport>) {
-    const REPS: usize = 3;
     let spec = e16_spec(Pilot::Cbec, seed, devices, rounds);
     let w = spec.compile();
     let batches: Vec<(SimTime, Vec<Entity>)> = w
@@ -457,32 +457,31 @@ pub fn e16_overhead_observed(
         })
         .collect();
     let records = w.generated;
-    let mut best = [f64::INFINITY; 2]; // [muted, live]
     let mut reports = Vec::new();
-    for rep in 0..REPS {
-        for (slot, live) in [(0usize, false), (1, true)] {
-            let mut p = e16_builder(seed, e16_config(&spec)).build();
-            if !live {
-                p.behavior.set_enabled(false);
-            }
-            let secs = time_cell(&mut || {
-                for (at, entities) in &batches {
-                    if !entities.is_empty() {
-                        p.ingest(*at, entities.clone());
-                    }
-                    p.round(*at);
-                }
-            });
-            best[slot] = best[slot].min(secs);
-            if rep == 0 {
-                let label = format!(
-                    "e16/{}/{devices}x{rounds}",
-                    if live { "live" } else { "muted" }
-                );
-                reports.push(ObsReport::new(&label, seed, p.observe()));
-            }
+    // Arm 0 is the muted bank, arm 1 the live one.
+    let best = best_of_interleaved(2, |rep, arm| {
+        let live = arm == 1;
+        let mut p = e16_builder(seed, e16_config(&spec)).build();
+        if !live {
+            p.behavior.set_enabled(false);
         }
-    }
+        let secs = time_cell(&mut || {
+            for (at, entities) in &batches {
+                if !entities.is_empty() {
+                    p.ingest(*at, entities.clone());
+                }
+                p.round(*at);
+            }
+        });
+        if rep == 0 {
+            let label = format!(
+                "e16/{}/{devices}x{rounds}",
+                if live { "live" } else { "muted" }
+            );
+            reports.push(ObsReport::new(&label, seed, p.observe()));
+        }
+        secs
+    });
     let mk_row = |arm: &'static str, secs: f64| E16OverheadRow {
         arm,
         records,
@@ -552,7 +551,7 @@ mod tests {
 
     #[test]
     fn e16_overhead_cells_complete() {
-        // Tiny workload: bench_e16 runs the real sweep.
+        // Tiny workload: `bench e16` runs the real sweep.
         let (r, reports) = e16_overhead_observed(42, 16, 48, |run| {
             let start = std::time::Instant::now();
             run();

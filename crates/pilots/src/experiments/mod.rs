@@ -39,12 +39,12 @@ use crate::report::Report;
 /// E11c ([`e11_broker_scale`]) and E14b
 /// ([`e14_shard_throughput_observed`]) are deliberately not included: they
 /// measure wall-clock throughput, so their numbers are not bit-reproducible
-/// per seed. The `bench_e11` and `bench_e14` binaries run them and emit
+/// per seed. `bench e11` and `bench e14` run them and emit
 /// `BENCH_e11.json` / `BENCH_e14.json`. E15 ([`e15_read_path_observed`])
-/// is wall-clock for the same reason — `bench_e15` emits
+/// is wall-clock for the same reason — `bench e15` emits
 /// `BENCH_e15.json`, and its deterministic half lives in the compaction
 /// differential suite. E16's wall-clock half
-/// ([`e16_overhead_observed`]) likewise lives in `bench_e16`; its
+/// ([`e16_overhead_observed`]) likewise lives in `bench e16`; its
 /// detection-quality half ([`e16_baseline_detection`]) is deterministic
 /// and included here.
 pub fn run_all(seed: u64) -> Vec<Report> {

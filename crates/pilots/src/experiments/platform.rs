@@ -725,7 +725,7 @@ impl E11BrokerScaleResult {
 /// The caller supplies the clock: `time_round` receives one round's body
 /// and returns the wall-clock seconds it took, and must run the body
 /// exactly once. This keeps the library free of ambient time sources —
-/// only the `bench_e11` binary (and the unit test) touch
+/// only the `bench` binary (and the unit test) touch
 /// `std::time::Instant`.
 ///
 /// # Panics
@@ -912,7 +912,7 @@ mod tests {
 
     #[test]
     fn e11_broker_scale_covers_both_deployments() {
-        // Tiny fleets keep the test fast; the bench_e11 binary runs the
+        // Tiny fleets keep the test fast; `bench e11` runs the
         // real 100/1k/10k sweep.
         let r = e11_broker_scale(&[3, 7], |run| {
             let start = std::time::Instant::now();

@@ -19,7 +19,7 @@
 //!    in-window sample of a deep hot series while the segmented layout
 //!    folds whole-segment summaries without decoding
 //!    (`query.segments_summarized`). The wide reads get their own
-//!    percentiles (`wide_p50/p90/p99`); `bench_e15 --check` gates the
+//!    percentiles (`wide_p50/p90/p99`); `bench e15 --check` gates the
 //!    wide p90, which sits inside the hot-series mass at every tier and
 //!    above scheduler noise, unlike the overall p99.
 //! 2. **Retention**: `prune_before` on the flat layout shifts every
@@ -33,7 +33,7 @@
 //!    replay of the compaction differential.
 //!
 //! Wall-clock timing is injected (`clock`), keeping the library free of
-//! ambient time sources; only the `bench_e15` binary touches `Instant`.
+//! ambient time sources; only the `bench` binary touches `Instant`.
 //! Numbers are machine-dependent, so E15 is excluded from `run_all` and
 //! EXPERIMENTS.md tables — `BENCH_e15.json` is its artifact.
 
@@ -489,7 +489,7 @@ mod tests {
 
     #[test]
     fn e15_layouts_agree_and_segment_layer_engages() {
-        // Tiny tier keeps the test fast; bench_e15 runs the real sweep.
+        // Tiny tier keeps the test fast; `bench e15` runs the real sweep.
         let mut t = 0.0f64;
         let mut fake_clock = || {
             t += 1e-6;

@@ -12,7 +12,7 @@
 //!    same workload. The full differential harness lives in
 //!    `crates/pilots/tests/shard_differential.rs`; the E14 table records
 //!    the equivalence verdict per cell.
-//! 2. **Throughput** (wall clock, `bench_e14` binary): how much faster
+//! 2. **Throughput** (wall clock, `bench e14`): how much faster
 //!    does the fleet replicate when the quadratic ack-scan backlog of a
 //!    single sync engine is divided N ways?
 //!
@@ -342,7 +342,7 @@ impl E14ThroughputResult {
 /// The caller supplies the clock: `time_cell` receives one cell's body and
 /// returns the wall-clock seconds it took, and must run the body exactly
 /// once — the library stays free of ambient time sources; only the
-/// `bench_e14` binary (and the unit test) touch `std::time::Instant`.
+/// `bench` binary (and the unit test) touch `std::time::Instant`.
 pub fn e14_shard_throughput_observed(
     shard_counts: &[usize],
     worker_counts: &[usize],
@@ -441,7 +441,7 @@ mod tests {
 
     #[test]
     fn e14_throughput_cells_complete() {
-        // Tiny cells keep the test fast; bench_e14 runs the real sweep.
+        // Tiny cells keep the test fast; `bench e14` runs the real sweep.
         let (r, reports) = e14_shard_throughput_observed(&[1, 4], &[1, 2], &[64], |run| {
             let start = std::time::Instant::now();
             run();

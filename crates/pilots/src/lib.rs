@@ -12,6 +12,8 @@
 //! - [`experiments`] — E1–E14, one per claim/challenge in the paper (see
 //!   EXPERIMENTS.md), all seeded and reproducible.
 //! - [`report`] — the result tables the harness prints.
+//! - [`reps`] — the interleaved best-of-reps loop behind every wall-clock
+//!   measurement; the `bench` binary supplies the clock.
 //!
 //! ## Example: run the MATOPIBA pilot
 //!
@@ -25,6 +27,7 @@ pub mod driver;
 pub mod experiments;
 pub mod pilots;
 pub mod report;
+pub mod reps;
 pub mod season;
 
 pub use pilots::{run_pilot, PilotReport, PilotSite};
