@@ -30,7 +30,7 @@ use swamp_codec::ngsi::Entity;
 use swamp_crypto::aead::NonceSequence;
 use swamp_crypto::keystore::Keystore;
 use swamp_fog::availability::{OutageSchedule, ServedBy};
-use swamp_fog::sync::{CloudStore, DegradedMode, DropPolicy, FogSync, ACK_TOPIC, SYNC_TOPIC};
+use swamp_fog::sync::{CloudStore, DegradedMode, FogSync, ACK_TOPIC, SYNC_TOPIC};
 use swamp_net::fault::FaultPlan;
 use swamp_net::link::LinkSpec;
 use swamp_net::message::{Delivery, Message, NodeId};
@@ -43,7 +43,7 @@ use swamp_security::identity::{AuthError, IdentityProvider, Token};
 use swamp_security::pipeline::{DetectorBank, Recommendation};
 use swamp_sensors::device::DeviceKind;
 use swamp_sim::{SimDuration, SimTime};
-use swamp_views::{ViewConfig, ViewIndexer};
+use swamp_views::ViewIndexer;
 
 use crate::broker::ContextBroker;
 use crate::error::Error;
@@ -242,12 +242,10 @@ pub struct PlatformBuilder {
     seed: u64,
     config: DeploymentConfig,
     sync_capacity: usize,
-    sync_policy: DropPolicy,
     sync_base_timeout: SimDuration,
     sync_backoff_factor: f64,
     sync_max_backoff: SimDuration,
     sync_jitter: f64,
-    sync_max_in_flight: usize,
     auto_quarantine: bool,
     fault_plan: Option<FaultPlan>,
     uplink_outages: Vec<(SimTime, SimTime)>,
@@ -255,7 +253,6 @@ pub struct PlatformBuilder {
     shards: usize,
     workers: usize,
     history_segment_threshold: Option<usize>,
-    view_config: ViewConfig,
     baseline: BaselineConfig,
 }
 
@@ -265,12 +262,10 @@ impl PlatformBuilder {
             seed: 0,
             config,
             sync_capacity: 100_000,
-            sync_policy: DropPolicy::Oldest,
             sync_base_timeout: SimDuration::from_secs(60),
             sync_backoff_factor: 2.0,
             sync_max_backoff: SimDuration::from_secs(480),
             sync_jitter: 0.1,
-            sync_max_in_flight: 1024,
             auto_quarantine: false,
             fault_plan: None,
             uplink_outages: Vec::new(),
@@ -278,7 +273,6 @@ impl PlatformBuilder {
             shards: 1,
             workers: 1,
             history_segment_threshold: None,
-            view_config: ViewConfig::default(),
             baseline: BaselineConfig::default(),
         }
     }
@@ -302,13 +296,6 @@ impl PlatformBuilder {
         self
     }
 
-    /// Configures the materialized views (consumption attribute, alert
-    /// floor, top-K size); defaults to [`ViewConfig::default`].
-    pub fn view_config(mut self, config: ViewConfig) -> Self {
-        self.view_config = config;
-        self
-    }
-
     /// Seeds every stochastic process (network, fault plan, retry jitter).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -318,12 +305,6 @@ impl PlatformBuilder {
     /// Capacity of the uplink store-and-forward buffer.
     pub fn sync_capacity(mut self, capacity: usize) -> Self {
         self.sync_capacity = capacity;
-        self
-    }
-
-    /// What the uplink buffer drops when full.
-    pub fn sync_drop_policy(mut self, policy: DropPolicy) -> Self {
-        self.sync_policy = policy;
         self
     }
 
@@ -343,12 +324,6 @@ impl PlatformBuilder {
     /// Jitter fraction applied to uplink retry timers (`[0, 1]`).
     pub fn sync_jitter(mut self, fraction: f64) -> Self {
         self.sync_jitter = fraction;
-        self
-    }
-
-    /// Maximum unacknowledged records in flight on the uplink.
-    pub fn sync_max_in_flight(mut self, window: usize) -> Self {
-        self.sync_max_in_flight = window;
         self
     }
 
@@ -440,12 +415,10 @@ impl PlatformBuilder {
             seed,
             config,
             sync_capacity,
-            sync_policy,
             sync_base_timeout,
             sync_backoff_factor,
             sync_max_backoff,
             sync_jitter,
-            sync_max_in_flight,
             auto_quarantine,
             mut fault_plan,
             uplink_outages,
@@ -456,7 +429,6 @@ impl PlatformBuilder {
             shards: _,
             workers: _,
             history_segment_threshold,
-            view_config,
             baseline,
         } = self;
 
@@ -482,14 +454,14 @@ impl PlatformBuilder {
             net.install_fault_plan(plan);
         }
 
+        // The drop policy (oldest first) and the in-flight window (1024)
+        // are FogSync's defaults.
         let uplink_engine = |node: &str| {
             FogSync::builder(node, nodes::CLOUD)
                 .capacity(sync_capacity)
-                .drop_policy(sync_policy)
                 .base_timeout(sync_base_timeout)
                 .backoff(sync_backoff_factor, sync_max_backoff)
                 .jitter(sync_jitter)
-                .max_in_flight(sync_max_in_flight)
                 .seed(seed ^ 0x73796e635f656e67) // "sync_eng"
                 .build()
         };
@@ -548,7 +520,7 @@ impl PlatformBuilder {
             cloud_store,
             relay_sync,
             relay_store,
-            views: ViewIndexer::with_config(view_config),
+            views: ViewIndexer::new(),
             obs,
             ins,
         }

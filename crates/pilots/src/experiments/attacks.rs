@@ -7,8 +7,8 @@ use swamp_net::message::Message;
 use swamp_net::network::Network;
 use swamp_net::sdn::{FlowAction, FlowMatch};
 use swamp_security::attacks::{DosFlooder, SensorTamper, SybilSwarm, TamperMode};
-use swamp_security::behavior::{
-    actuator_takeover_sequence, normal_irrigation_cycle, BehaviorDetector, MarkovBaseline,
+use swamp_security::baseline::{
+    actuator_takeover_sequence, normal_irrigation_cycle, EventBaseline,
 };
 use swamp_security::detect::{spatial_outliers, RateGuard, ZScoreDetector};
 use swamp_sim::{SimDuration, SimRng, SimTime};
@@ -384,16 +384,16 @@ pub fn e12_behavior(seed: u64) -> E12Result {
         let mut seq = normal_irrigation_cycle();
         // Occasionally repeat a soil:rising reading (sensor chatter).
         if rng.chance(0.3) {
-            seq.insert(6, "soil:rising".to_owned());
+            seq.insert(6, "soil:rising");
         }
         seq
     };
-    let mut baseline = MarkovBaseline::new(0.1);
+    let mut det = EventBaseline::new(0.1);
     for _ in 0..300 {
-        baseline.train(&noisy_cycle(&mut rng));
+        det.train(&noisy_cycle(&mut rng));
     }
-    let holdout: Vec<Vec<String>> = (0..60).map(|_| noisy_cycle(&mut rng)).collect();
-    let det = BehaviorDetector::calibrate(baseline, &holdout, 0.3);
+    let holdout: Vec<Vec<&str>> = (0..60).map(|_| noisy_cycle(&mut rng)).collect();
+    det.calibrate(&holdout, 0.3);
 
     let trials = 100;
     // Behavioral detector.
@@ -488,16 +488,12 @@ mod tests {
     #[test]
     fn e12_behavioral_dominates_point_detector() {
         let r = e12_behavior(42);
-        assert!(
-            r.behavioral.0 > 0.95,
-            "takeover detection {}",
-            r.behavioral.0
-        );
-        assert!(r.behavioral.1 < 0.1, "false alarms {}", r.behavioral.1);
-        assert!(
-            r.point.0 < 0.1,
-            "rate-only detector should miss same-volume takeovers: {}",
-            r.point.0
+        // The published cells, exactly.
+        assert_eq!(r.behavioral, (1.0, 0.0), "markov-sequence cells");
+        assert_eq!(
+            r.point,
+            (0.0, 0.0),
+            "rate-only detector should miss same-volume takeovers"
         );
         assert!(r.report().to_string().contains("markov-sequence"));
     }

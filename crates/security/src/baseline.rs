@@ -1,16 +1,22 @@
-//! Streaming behavioral baselining: per-device expected-sequence
-//! correlation on the live ingest path.
+//! Behavioral baselining — the paper's "most relevant challenge":
+//! "correlating the expected sequence of events of an agricultural
+//! application" against a baseline of known-good operation.
 //!
-//! The paper calls behavioral baselining — "correlating the expected
-//! sequence of events of an agricultural application" — the most
-//! relevant security challenge. [`crate::behavior`] proves the idea on
-//! offline windows; [`BehaviorBank`] promotes it to the data path: it
-//! is fed one observation per accepted record from
-//! `Platform::ingest_entities`, learns a per-device first-order symbol
-//! model during a training phase, calibrates a per-device score
-//! threshold on a held-out phase, and then flags devices whose rolling
-//! transition score falls below their own baseline — all in O(1) per
-//! observation, with no allocation after device admission.
+//! One first-order Markov core, `Transitions`, learns transition counts
+//! over a fixed symbol alphabet and scores transitions with unigram
+//! backoff. Two front ends feed it:
+//!
+//! - [`BehaviorBank`] — streaming, on the live ingest path. It is fed
+//!   one observation per accepted record from
+//!   `Platform::ingest_entities`, learns a per-device model during a
+//!   training phase, calibrates a per-device score threshold on a
+//!   held-out phase, and then flags devices whose rolling transition
+//!   score falls below their own baseline — all in O(1) per
+//!   observation, with no allocation after device admission.
+//! - [`EventBaseline`] — windowed, over named irrigation events
+//!   (`cmd:pump_on`, `flow:start`, …). Whole windows are scored from a
+//!   `START` anchor to an `END` anchor, so actuation without its causal
+//!   prelude collapses the window's likelihood (E12).
 //!
 //! ## Symbols and phases
 //!
@@ -48,6 +54,71 @@ use swamp_obs::{Counter, Level, Obs, ObsSnapshot};
 use swamp_sim::SimTime;
 
 use crate::profile::CropProfiler;
+
+/// Checks a smoothing mass for [`Transitions::log_prob`].
+///
+/// # Panics
+/// Panics unless `alpha` is positive and finite. With zero smoothing an
+/// untrained transition scores `ln 0 = −∞`; once that entry leaves a
+/// rolling window the window sum is NaN for good, and a NaN score never
+/// falls below a threshold, so the device could never be flagged.
+fn check_alpha(alpha: f64) {
+    assert!(
+        alpha > 0.0 && alpha.is_finite(),
+        "alpha must be positive and finite, got {alpha}"
+    );
+}
+
+/// The Markov core: first-order transition counts over an alphabet of
+/// `N` symbols (`0..N`; a symbol outside it panics), with fixed-size
+/// inline tables so learning and scoring never allocate.
+#[derive(Clone, Debug)]
+struct Transitions<const N: usize> {
+    counts: [[u16; N]; N],
+    row_totals: [u32; N],
+    trained: u32,
+}
+
+impl<const N: usize> Transitions<N> {
+    /// An untrained table.
+    const fn new() -> Self {
+        Transitions {
+            counts: [[0; N]; N],
+            row_totals: [0; N],
+            trained: 0,
+        }
+    }
+
+    /// Counts one observed transition `prev → next`.
+    fn learn(&mut self, prev: u8, next: u8) {
+        let c = &mut self.counts[prev as usize][next as usize];
+        *c = c.saturating_add(1);
+        self.row_totals[prev as usize] += 1;
+        self.trained = self.trained.saturating_add(1);
+    }
+
+    /// Transitions learned so far.
+    fn trained(&self) -> u32 {
+        self.trained
+    }
+
+    /// Transition log-probability with unigram backoff, for a smoothing
+    /// mass `alpha` accepted by [`check_alpha`]. The smoothing mass is
+    /// spread according to how often the destination symbol occurs at
+    /// all, not uniformly: uniform smoothing caps the penalty of any
+    /// transition out of a rarely-seen symbol at `ln(1/N)`, which lets a
+    /// sustained anomaly (a chain of transitions between symbols the
+    /// baseline never visits) hide right at that cap. Backing off to the
+    /// unigram keeps honest one-off surprises cheap while a chain through
+    /// never-trained symbols scores deeply negative at every step.
+    fn log_prob(&self, prev: u8, next: u8, alpha: f64) -> f64 {
+        let c = self.counts[prev as usize][next as usize] as f64;
+        let row = self.row_totals[prev as usize] as f64;
+        let total = self.trained as f64;
+        let unigram = (self.row_totals[next as usize] as f64 + 1.0) / (total + N as f64);
+        ((c + alpha * unigram) / (row + alpha)).ln()
+    }
+}
 
 /// Delta dead zone: deltas at or below this magnitude are `Steady`.
 /// Matches the workload generator's quantum (sensor noise σ ≈ 0.0012
@@ -110,7 +181,9 @@ pub struct BaselineConfig {
     /// Observations an untrained (post-training) device may emit
     /// before being flagged as Sybil-suspect.
     pub grace: u32,
-    /// Laplace smoothing mass for transition probabilities.
+    /// Smoothing mass for transition probabilities, spread over
+    /// destinations by their unigram frequency; must be positive and
+    /// finite.
     pub alpha: f64,
 }
 
@@ -206,7 +279,7 @@ pub struct BaselineFlag {
     pub kind: FlagKind,
 }
 
-/// Per-device streaming state: transition counts (frozen when the
+/// Per-device streaming state: the transition table (frozen when the
 /// training phase ends), the rolling window of transition
 /// log-probabilities, and the calibrated threshold.
 #[derive(Clone, Debug)]
@@ -216,9 +289,7 @@ struct DeviceState {
     last_value: f64,
     last_sym: Option<u8>,
     observed: u32,
-    trained: u32,
-    counts: [u16; ALPHABET * ALPHABET],
-    row_totals: [u32; ALPHABET],
+    table: Transitions<ALPHABET>,
     ring: [f64; MAX_WINDOW],
     ring_len: u8,
     ring_pos: u8,
@@ -236,9 +307,7 @@ impl DeviceState {
             last_value: 0.0,
             last_sym: None,
             observed: 0,
-            trained: 0,
-            counts: [0; ALPHABET * ALPHABET],
-            row_totals: [0; ALPHABET],
+            table: Transitions::new(),
             ring: [0.0; MAX_WINDOW],
             ring_len: 0,
             ring_pos: 0,
@@ -247,24 +316,6 @@ impl DeviceState {
             threshold: f64::NAN,
             strikes: 0,
         }
-    }
-
-    /// Transition log-probability with unigram backoff (counts are
-    /// frozen after training, so this is a pure read). The smoothing
-    /// mass is spread according to how often the destination symbol
-    /// occurs at all, not uniformly: uniform smoothing caps the
-    /// penalty of any transition out of a rarely-seen symbol at
-    /// `ln(1/ALPHABET)`, which lets a sustained anomaly (a chain of
-    /// transitions between symbols the cycle never visits) hide right
-    /// at that cap. Backing off to the unigram keeps honest one-off
-    /// surprises cheap while a chain through never-trained symbols
-    /// scores deeply negative at every step.
-    fn log_prob(&self, prev: u8, next: u8, alpha: f64) -> f64 {
-        let c = self.counts[prev as usize * ALPHABET + next as usize] as f64;
-        let row = self.row_totals[prev as usize] as f64;
-        let total = self.trained as f64;
-        let unigram = (self.row_totals[next as usize] as f64 + 1.0) / (total + ALPHABET as f64);
-        ((c + alpha * unigram) / (row + alpha)).ln()
     }
 
     /// Pushes one transition log-probability into the rolling window;
@@ -340,7 +391,13 @@ impl Default for BehaviorBank {
 
 impl BehaviorBank {
     /// Creates a bank with the given phase/margin configuration.
+    ///
+    /// # Panics
+    /// Panics if `config.alpha` is not positive and finite: with zero
+    /// smoothing one untrained transition would turn the device's
+    /// rolling score NaN for good, and a NaN score never flags.
     pub fn new(config: BaselineConfig) -> Self {
+        check_alpha(config.alpha);
         let mut obs = Obs::new();
         let ins = BaselineInstruments::register(&mut obs);
         let window = config.window.clamp(2, MAX_WINDOW);
@@ -414,7 +471,7 @@ impl BehaviorBank {
             } else {
                 f64::NAN
             };
-            (s.trained, s.calib_min, s.threshold, rolling)
+            (s.table.trained(), s.calib_min, s.threshold, rolling)
         })
     }
 
@@ -464,10 +521,7 @@ impl BehaviorBank {
 
         if training {
             if let Some(p) = prev {
-                state.counts[p as usize * ALPHABET + sym as usize] =
-                    state.counts[p as usize * ALPHABET + sym as usize].saturating_add(1);
-                state.row_totals[p as usize] += 1;
-                state.trained = state.trained.saturating_add(1);
+                state.table.learn(p, sym);
                 self.obs.inc(self.ins.trained);
             }
             return BaselineVerdict::Learning;
@@ -475,7 +529,7 @@ impl BehaviorBank {
 
         // Post-training. Devices with no trained model are
         // Sybil-suspect after `grace` observations.
-        if state.trained == 0 {
+        if state.table.trained() == 0 {
             if state.first_at >= self.config.train_until
                 && state.observed >= self.config.grace
                 && !self.flags.contains_key(device)
@@ -492,7 +546,7 @@ impl BehaviorBank {
                 BaselineVerdict::Normal
             };
         };
-        let lp = state.log_prob(p, sym, self.config.alpha);
+        let lp = state.table.log_prob(p, sym, self.config.alpha);
         self.obs.inc(self.ins.scored);
         let rolling = state.push_score(lp, self.window);
 
@@ -549,6 +603,150 @@ impl BehaviorBank {
         );
         self.flags
             .insert(device.to_owned(), BaselineFlag { at, kind });
+    }
+}
+
+/// The causal chain of one healthy irrigation event, in order — also
+/// the named part of [`EventBaseline`]'s alphabet.
+const IRRIGATION_CYCLE: [&str; 11] = [
+    "schedule:due",
+    "auth:granted",
+    "cmd:pump_on",
+    "flow:start",
+    "cmd:valve_open",
+    "soil:rising",
+    "soil:target",
+    "cmd:valve_close",
+    "flow:stop",
+    "cmd:pump_off",
+    "report:complete",
+];
+
+/// Window-start anchor: training counts `START → first`, so a window
+/// that *begins* mid-protocol (actuation with no schedule/auth prelude)
+/// is penalized even when its internal transitions are normal.
+const START: u8 = IRRIGATION_CYCLE.len() as u8;
+/// Window-end anchor.
+const END: u8 = START + 1;
+/// Every event outside the irrigation cycle.
+const OOV: u8 = END + 1;
+/// Event alphabet size: the cycle's events, both anchors and `OOV`.
+const EVENTS: usize = OOV as usize + 1;
+
+/// The event symbol of a named event (`OOV` for unknown names).
+fn event_symbol(event: &str) -> u8 {
+    IRRIGATION_CYCLE
+        .iter()
+        .position(|&e| e == event)
+        .map_or(OOV, |i| i as u8)
+}
+
+/// The transitions of an anchored window: `START → first`, each
+/// consecutive pair, `last → END`.
+fn anchored<'a>(window: &'a [&'a str]) -> impl Iterator<Item = (u8, u8)> + 'a {
+    let symbols = || {
+        std::iter::once(START)
+            .chain(window.iter().map(|e| event_symbol(e)))
+            .chain(std::iter::once(END))
+    };
+    symbols().zip(symbols().skip(1))
+}
+
+/// Builds the canonical irrigation-cycle event sequence used by pilots
+/// to train baselines: the causal chain of one healthy irrigation event.
+pub fn normal_irrigation_cycle() -> Vec<&'static str> {
+    IRRIGATION_CYCLE.to_vec()
+}
+
+/// An attack sequence: actuation without schedule/auth prelude (an
+/// attacker who seized the actuator, per the paper's takeover scenario).
+pub fn actuator_takeover_sequence() -> Vec<&'static str> {
+    vec![
+        "cmd:valve_open",
+        "flow:start",
+        "cmd:valve_open",
+        "flow:start",
+        "cmd:pump_on",
+    ]
+}
+
+/// The windowed front end: an anchored event-sequence baseline over the
+/// irrigation events plus a calibrated decision threshold.
+///
+/// # Example
+/// ```
+/// use swamp_security::baseline::{actuator_takeover_sequence, normal_irrigation_cycle, EventBaseline};
+/// let mut b = EventBaseline::new(0.1);
+/// for _ in 0..20 {
+///     b.train(&normal_irrigation_cycle());
+/// }
+/// b.calibrate(&[normal_irrigation_cycle()], 0.3);
+/// assert!(!b.is_anomalous(&normal_irrigation_cycle()));
+/// assert!(b.is_anomalous(&actuator_takeover_sequence()));
+/// ```
+#[derive(Clone, Debug)]
+pub struct EventBaseline {
+    table: Transitions<EVENTS>,
+    alpha: f64,
+    threshold: f64,
+}
+
+impl EventBaseline {
+    /// An untrained, uncalibrated baseline (flags nothing until
+    /// [`EventBaseline::calibrate`]) with smoothing mass `alpha`.
+    ///
+    /// # Panics
+    /// Panics if `alpha` is not positive and finite.
+    pub fn new(alpha: f64) -> Self {
+        check_alpha(alpha);
+        EventBaseline {
+            table: Transitions::new(),
+            alpha,
+            threshold: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Trains on one known-good event sequence (anchored at both ends).
+    pub fn train(&mut self, sequence: &[&str]) {
+        if sequence.is_empty() {
+            return;
+        }
+        for (prev, next) in anchored(sequence) {
+            self.table.learn(prev, next);
+        }
+    }
+
+    /// Scores a window of events: mean transition log-probability
+    /// including the `START → first` and `last → END` anchor
+    /// transitions. Higher is more normal. Empty windows score 0 (no
+    /// evidence).
+    pub fn score(&self, window: &[&str]) -> f64 {
+        if window.is_empty() {
+            return 0.0;
+        }
+        let sum: f64 = anchored(window)
+            .map(|(prev, next)| self.table.log_prob(prev, next, self.alpha))
+            .sum();
+        sum / (window.len() + 1) as f64
+    }
+
+    /// Sets the decision threshold from held-out normal windows: windows
+    /// scoring below `(min held-out score) − margin` are anomalous.
+    ///
+    /// # Panics
+    /// Panics if `holdout` is empty.
+    pub fn calibrate(&mut self, holdout: &[Vec<&str>], margin: f64) {
+        assert!(!holdout.is_empty(), "need held-out windows to calibrate");
+        let min_normal = holdout
+            .iter()
+            .map(|w| self.score(w))
+            .fold(f64::INFINITY, f64::min);
+        self.threshold = min_normal - margin;
+    }
+
+    /// Whether a window is anomalous (scores below the threshold).
+    pub fn is_anomalous(&self, window: &[&str]) -> bool {
+        self.score(window) < self.threshold
     }
 }
 
@@ -715,5 +913,156 @@ mod tests {
         let snap = bank.observe();
         assert_eq!(snap.counter("security.baseline.flagged").unwrap(), 1);
         assert!(snap.counter("security.baseline.anomalous").unwrap() > 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha")]
+    fn zero_alpha_rejected() {
+        let _ = BehaviorBank::new(BaselineConfig {
+            alpha: 0.0,
+            ..phased()
+        });
+    }
+
+    /// Seeded property loop over the core: scores are finite for any
+    /// training (none included), and training on a sequence never
+    /// lowers that sequence's own score.
+    #[test]
+    fn core_scores_finite_and_training_helps() {
+        let mut rng = SimRng::seed_from(7);
+        let walk = |rng: &mut SimRng| -> Vec<u8> {
+            let len = 2 + rng.below(10);
+            (0..len).map(|_| rng.below(ALPHABET as u64) as u8).collect()
+        };
+        let score = |t: &Transitions<ALPHABET>, seq: &[u8], alpha: f64| {
+            let sum: f64 = seq.windows(2).map(|w| t.log_prob(w[0], w[1], alpha)).sum();
+            sum / (seq.len() - 1) as f64
+        };
+        for case in 0..512 {
+            let alpha = [0.05, 0.5, 2.0][case % 3];
+            let seq = walk(&mut rng);
+            let mut table = Transitions::<ALPHABET>::new();
+            for _ in 0..rng.below(4) {
+                for w in walk(&mut rng).windows(2) {
+                    table.learn(w[0], w[1]);
+                }
+            }
+            let before = score(&table, &seq, alpha);
+            assert!(before.is_finite(), "case {case}: {before}");
+            for _ in 0..5 {
+                for w in seq.windows(2) {
+                    table.learn(w[0], w[1]);
+                }
+            }
+            let after = score(&table, &seq, alpha);
+            assert!(after.is_finite(), "case {case}: {after}");
+            assert!(after >= before - 1e-9, "case {case}: {before} -> {after}");
+        }
+    }
+
+    /// A noisy-but-normal irrigation cycle (occasional token-refresh
+    /// retries, a variable run of soil readings) as real operation
+    /// would produce.
+    fn noisy_cycle(rng: &mut SimRng) -> Vec<&'static str> {
+        let mut seq = vec!["schedule:due", "auth:granted"];
+        if rng.chance(0.2) {
+            seq.push("auth:granted");
+        }
+        seq.extend(["cmd:pump_on", "flow:start", "cmd:valve_open"]);
+        let readings = rng.int_range(1, 4) as usize;
+        seq.extend(std::iter::repeat_n("soil:rising", readings));
+        seq.extend([
+            "soil:target",
+            "cmd:valve_close",
+            "flow:stop",
+            "cmd:pump_off",
+            "report:complete",
+        ]);
+        seq
+    }
+
+    fn trained_events(seed: u64) -> EventBaseline {
+        let mut rng = SimRng::seed_from(seed);
+        let mut b = EventBaseline::new(0.1);
+        for _ in 0..200 {
+            b.train(&noisy_cycle(&mut rng));
+        }
+        let holdout: Vec<_> = (0..50).map(|_| noisy_cycle(&mut rng)).collect();
+        b.calibrate(&holdout, 0.5);
+        b
+    }
+
+    #[test]
+    fn normal_event_windows_pass() {
+        let b = trained_events(1);
+        let mut rng = SimRng::seed_from(99);
+        let false_alarms = (0..100)
+            .filter(|_| b.is_anomalous(&noisy_cycle(&mut rng)))
+            .count();
+        assert!(false_alarms <= 3, "false alarms {false_alarms}");
+    }
+
+    #[test]
+    fn takeover_event_sequence_flagged() {
+        let b = trained_events(2);
+        assert!(b.is_anomalous(&actuator_takeover_sequence()));
+    }
+
+    #[test]
+    fn missing_auth_prelude_flagged() {
+        let b = trained_events(3);
+        // Pump starts without schedule/auth — the paper's seized actuator.
+        let seq = ["cmd:pump_on", "flow:start", "cmd:valve_open", "soil:rising"];
+        let normal = b.score(&normal_irrigation_cycle());
+        let attack = b.score(&seq);
+        assert!(attack < normal, "attack {attack} vs normal {normal}");
+        assert!(b.is_anomalous(&seq));
+    }
+
+    #[test]
+    fn reversed_causality_scores_lower() {
+        let mut b = EventBaseline::new(0.5);
+        for _ in 0..50 {
+            b.train(&normal_irrigation_cycle());
+        }
+        let mut reversed = normal_irrigation_cycle();
+        reversed.reverse();
+        assert!(b.score(&reversed) < b.score(&normal_irrigation_cycle()));
+    }
+
+    #[test]
+    fn unseen_events_penalized() {
+        let mut b = EventBaseline::new(0.5);
+        b.train(&normal_irrigation_cycle());
+        let pump_on = event_symbol("cmd:pump_on");
+        assert_eq!(event_symbol("exfiltrate:data"), OOV);
+        let known = b
+            .table
+            .log_prob(pump_on, event_symbol("flow:start"), b.alpha);
+        let unknown = b.table.log_prob(pump_on, OOV, b.alpha);
+        assert!(known > unknown);
+    }
+
+    #[test]
+    fn empty_window_scores_zero() {
+        assert_eq!(EventBaseline::new(1.0).score(&[]), 0.0);
+        // A lone known-start event scores better than a lone mid-protocol one.
+        let mut b = EventBaseline::new(0.5);
+        b.train(&normal_irrigation_cycle());
+        assert!(b.score(&["schedule:due"]) > b.score(&["cmd:valve_open"]));
+    }
+
+    #[test]
+    fn event_training_counts_anchors() {
+        let mut b = EventBaseline::new(1.0);
+        b.train(&normal_irrigation_cycle());
+        // 10 internal transitions plus the two anchor transitions.
+        assert_eq!(b.table.trained(), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "held-out")]
+    fn empty_holdout_rejected() {
+        EventBaseline::new(1.0).calibrate(&[], 0.1);
     }
 }

@@ -5,7 +5,7 @@
 //! detection, message-rate guarding (DoS), sequence-gap/replay detection,
 //! and spatial cross-validation against neighboring sensors (tamper and
 //! Sybil evidence). The sequence-of-events baseline the paper calls "the
-//! most relevant challenge" lives in [`crate::behavior`].
+//! most relevant challenge" lives in [`crate::baseline`].
 
 use std::collections::BTreeMap;
 
